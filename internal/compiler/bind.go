@@ -15,8 +15,10 @@ import (
 // layout, staging inputs and golden outputs in external memory, and reading
 // results and trained weights back out.
 
-// Install loads every program and arms the tracker manifest on m.
+// Install sizes m's external memory to the compiled layout's extent, loads
+// every program and arms the tracker manifest.
 func (c *Compiled) Install(m *sim.Machine) error {
+	m.SetExtMem(c.Ext.Elems)
 	for k, p := range c.Programs {
 		if err := m.LoadProgram(k.Row, k.CCol, k.Step, p); err != nil {
 			return fmt.Errorf("compiler: install %v: %w", k, err)
@@ -37,7 +39,7 @@ func (c *Compiled) LoadWeights(m *sim.Machine, e *dnn.Executor) error {
 			m.WriteMem(r.tile, r.addr, vals)
 			return
 		}
-		m.WriteExt(extWeightBase+c.extWeightAddrs[li][unit], vals)
+		m.WriteExt(c.extWeightAddrs[li][unit], vals)
 	}
 	units := func(li int) int {
 		if n := len(c.weightRegions[li]); n > 0 {
@@ -87,7 +89,7 @@ func (c *Compiled) ReadWeights(m *sim.Machine, layerIdx int) *tensor.Tensor {
 			m.ReadMemInto(r.tile, r.addr, dst)
 			return
 		}
-		m.ReadExtInto(extWeightBase+c.extWeightAddrs[layerIdx][unit], dst)
+		m.ReadExtInto(c.extWeightAddrs[layerIdx][unit], dst)
 	}
 	units := func() int {
 		if n := len(c.weightRegions[layerIdx]); n > 0 {
@@ -132,13 +134,17 @@ func (c *Compiled) LoadInputs(m *sim.Machine, images []*tensor.Tensor) error {
 		if int64(img.Len()) != c.InputElems {
 			return fmt.Errorf("compiler: image %d has %d elements, want %d", i, img.Len(), c.InputElems)
 		}
-		m.WriteExt(extInputBase+int64(i)*c.InputElems, img.Data)
+		m.WriteExt(c.Ext.Input.Base+int64(i)*c.InputElems, img.Data)
 	}
 	return nil
 }
 
-// LoadGolden stages the golden output vectors for the minibatch.
+// LoadGolden stages the golden output vectors for the minibatch. Only a
+// training compile reserves the golden region.
 func (c *Compiled) LoadGolden(m *sim.Machine, golden []*tensor.Tensor) error {
+	if !c.Opts.Training {
+		return fmt.Errorf("compiler: golden outputs staged for an eval-only compile")
+	}
 	if len(golden) != c.Opts.Minibatch {
 		return fmt.Errorf("compiler: %d golden vectors for minibatch %d", len(golden), c.Opts.Minibatch)
 	}
@@ -146,7 +152,7 @@ func (c *Compiled) LoadGolden(m *sim.Machine, golden []*tensor.Tensor) error {
 		if int64(gv.Len()) != c.OutputElems {
 			return fmt.Errorf("compiler: golden %d has %d elements, want %d", i, gv.Len(), c.OutputElems)
 		}
-		m.WriteExt(extGoldenBase+int64(i)*c.OutputElems, gv.Data)
+		m.WriteExt(c.Ext.Golden.Base+int64(i)*c.OutputElems, gv.Data)
 	}
 	return nil
 }
@@ -163,7 +169,7 @@ func (c *Compiled) ReadOutput(m *sim.Machine, i int) []float32 {
 // OutputElems by the caller); the buffer-reusing variant of ReadOutput for
 // loops that read many outputs.
 func (c *Compiled) ReadOutputInto(m *sim.Machine, i int, dst []float32) {
-	m.ReadExtInto(extOutputBase+int64(i)*c.OutputElems, dst)
+	m.ReadExtInto(c.Ext.Output.Base+int64(i)*c.OutputElems, dst)
 }
 
 // TotalInstructions sums the instruction counts of every generated program.

@@ -43,13 +43,44 @@ type Options struct {
 	Spans telemetry.SpanSink
 }
 
-// External-memory layout (element addresses).
-const (
-	extInputBase  int64 = 0
-	extGoldenBase int64 = 4 << 20
-	extOutputBase int64 = 8 << 20
-	extWeightBase int64 = 16 << 20 // off-chip weight area (Options.WeightsOffChip)
-)
+// ExtRegion is one region of external memory, in element addresses.
+type ExtRegion struct {
+	Base, Size int64
+}
+
+// End returns the first address past the region.
+func (r ExtRegion) End() int64 { return r.Base + r.Size }
+
+// ExtLayout is the compiler-owned external-memory layout: packed, disjoint
+// regions derived from the network shape and minibatch, in the order
+// inputs, golden outputs, outputs, off-chip weights. Weights come last
+// because their size is known only after binding; every base is fixed
+// before emission. The simulator's external memory is sized to exactly
+// Elems (Compiled.Install).
+type ExtLayout struct {
+	Input   ExtRegion // Minibatch × InputElems
+	Golden  ExtRegion // Minibatch × OutputElems when training, else empty
+	Output  ExtRegion // Minibatch × OutputElems
+	Weights ExtRegion // off-chip weight area (Options.WeightsOffChip)
+	Elems   int64     // total extent
+}
+
+// newExtLayout places the fixed-size regions; the weight region starts after
+// them and grows as binding assigns off-chip weights.
+func newExtLayout(inElems, outElems int64, mb int, training bool) ExtLayout {
+	n := int64(mb)
+	var golden int64
+	if training {
+		golden = n * outElems
+	}
+	var l ExtLayout
+	l.Input = ExtRegion{Base: 0, Size: n * inElems}
+	l.Golden = ExtRegion{Base: l.Input.End(), Size: golden}
+	l.Output = ExtRegion{Base: l.Golden.End(), Size: n * outElems}
+	l.Weights = ExtRegion{Base: l.Output.End()}
+	l.Elems = l.Weights.End()
+	return l
+}
 
 // Compiled is the code-generation result: one program per CompHeavy tile,
 // the tracker manifest, and the binding information the harness needs to
@@ -69,12 +100,15 @@ type Compiled struct {
 
 	// weightRegions[layerIdx][g] is the on-chip region holding the kernels
 	// (or FC row-slice) for input feature / slice g; nil entries mean the
-	// unit's weights live off-chip at extWeightAddrs[layerIdx][g].
+	// unit's weights live off-chip at external address
+	// extWeightAddrs[layerIdx][g], inside Ext.Weights.
 	weightRegions  map[int]map[int]*region
 	extWeightAddrs map[int]map[int]int64
 
 	InputElems  int64 // elements per input image
 	OutputElems int64 // elements per network output
+
+	Ext ExtLayout // external-memory layout
 }
 
 // gen carries code-generation state. Feature and error regions are
@@ -84,21 +118,20 @@ type Compiled struct {
 // bounds pipeline skew in its scheduler; per-image copies achieve the same
 // correctness with a simpler invariant — see DESIGN.md §6.)
 type gen struct {
-	m        *Mapping
-	chip     arch.ChipConfig
-	opts     Options
-	em       *emitter
-	al       *allocator
-	out      *Compiled
-	maps     []*LayerMap
-	grad     gradMap
-	stage    gradMap
-	ystage   gradMap
-	estage   gradMap
-	convSc   map[int]*convScratch
-	gstage   map[TileCoord]*region
-	epart    map[[3]int]*region
-	extWNext int64 // bump allocator for the off-chip weight area
+	m      *Mapping
+	chip   arch.ChipConfig
+	opts   Options
+	em     *emitter
+	al     *allocator
+	out    *Compiled
+	maps   []*LayerMap
+	grad   gradMap
+	stage  gradMap
+	ystage gradMap
+	estage gradMap
+	convSc map[int]*convScratch
+	gstage map[TileCoord]*region
+	epart  map[[3]int]*region
 
 	// feat[mi][f][img], errRaw[mi][f][img], errDrv[mi][f][img]
 	feat   []map[int][]*region
@@ -138,6 +171,7 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 	g.out.InputElems = int64(in.Out.Elems())
 	last := g.maps[len(g.maps)-1].Layer
 	g.out.OutputElems = int64(last.Out.Elems())
+	g.out.Ext = newExtLayout(g.out.InputElems, g.out.OutputElems, opts.Minibatch, opts.Training)
 
 	if err := g.run(base); err != nil {
 		return nil, err
@@ -190,6 +224,9 @@ func (g *gen) run(base time.Time) error {
 	for mi, lm := range g.maps {
 		g.allocLayerState(mi, lm)
 	}
+	if g.al.err != nil {
+		return g.al.err
+	}
 	phaseSpan(g.opts.Spans, base, tBind, "bind")
 	// Emit phase. Per-layer persistent scratch (partial sums, staging) is
 	// allocated by the emitters on their first image.
@@ -223,11 +260,14 @@ func (g *gen) run(base time.Time) error {
 				}
 			}
 		}
+		if g.al.err != nil {
+			return g.al.err
+		}
 	}
 	g.em.setLayer(untaggedLayer)
 	g.emitBarrier()
 	phaseSpan(g.opts.Spans, base, tEmit, "emit")
-	return nil
+	return g.al.err
 }
 
 // emitBarrier emits the iteration barrier: every program deposits a token
@@ -314,8 +354,10 @@ func (g *gen) allocLayerState(mi int, lm *LayerMap) {
 	g.out.extWeightAddrs[l.Index] = map[int]int64{}
 	allocW := func(unit int, tc TileCoord, size int64) {
 		if g.opts.WeightsOffChip {
-			g.out.extWeightAddrs[l.Index][unit] = g.extWNext
-			g.extWNext += size
+			ext := &g.out.Ext
+			g.out.extWeightAddrs[l.Index][unit] = ext.Weights.End()
+			ext.Weights.Size += size
+			ext.Elems += size
 		} else {
 			g.out.weightRegions[l.Index][unit] = g.al.alloc(tc, size, fmt.Sprintf("%s.w%d", l.Name, unit), kindWeight)
 		}
@@ -345,7 +387,7 @@ func (g *gen) weightOperand(l *dnn.Layer, unit int, offset int64) (addr, port op
 	if r := g.out.weightRegions[l.Index][unit]; r != nil {
 		return C(r.addr + offset), C(isa.PortLeft), []regAccess{rd(r)}
 	}
-	return C(extWeightBase + g.out.extWeightAddrs[l.Index][unit] + offset), C(isa.PortExt), nil
+	return C(g.out.extWeightAddrs[l.Index][unit] + offset), C(isa.PortExt), nil
 }
 
 func (g *gen) gradRegion(layerIdx, unit int, r *region) {
@@ -397,6 +439,6 @@ func (g *gen) inputOperand(mi, g2, img int) (addr, port opr, acc []regAccess) {
 	}
 	l := g.maps[mi].Layer
 	chSize := int64(l.In.H * l.In.W)
-	base := extInputBase + int64(img)*g.out.InputElems + int64(g2)*chSize
+	base := g.out.Ext.Input.Base + int64(img)*g.out.InputElems + int64(g2)*chSize
 	return C(base), C(isa.PortExt), nil
 }

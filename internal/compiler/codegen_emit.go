@@ -258,7 +258,7 @@ func (g *gen) emitConvFP(mi int, lm *LayerMap, img int) {
 				[]opr{C(actT.addr + int64(j)*outHW), C(isa.PortRight), C(fr.addr), C(isa.AbsTile(fr.tile)), C(outHW), C(0)},
 				rd(actT), wr(fr))
 			if g.isLast(mi) {
-				dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
+				dst := g.out.Ext.Output.Base + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
 				g.em.op(kH, isa.DMASTORE,
 					[]opr{C(actT.addr + int64(j)*outHW), C(isa.PortRight), C(dst), C(isa.PortExt), C(outHW), C(0)},
 					rd(actT))
@@ -393,7 +393,7 @@ func (g *gen) emitPoolFP(mi int, lm *LayerMap, img int) {
 						C(out.addr), C(isa.AbsTile(out.tile))},
 					append(inAcc, wr(out))...)
 				if g.isLast(mi) {
-					dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, g2)
+					dst := g.out.Ext.Output.Base + int64(img)*g.out.OutputElems + outUnitOffset(lm, g2)
 					g.em.op(k, isa.DMASTORE,
 						[]opr{C(out.addr), C(isa.AbsTile(out.tile)), C(dst), C(isa.PortExt), C(out.size), C(0)},
 						rd(out))
@@ -448,7 +448,7 @@ func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
 		if mi == 0 {
 			// First layer: gather the flattened input image from external
 			// memory in one transfer.
-			src := extInputBase + int64(img)*g.out.InputElems
+			src := g.out.Ext.Input.Base + int64(img)*g.out.InputElems
 			g.em.op(k, isa.DMALOAD,
 				[]opr{C(src), C(isa.PortExt), C(xStage.addr), C(isa.PortLeft), C(inLen), C(0)},
 				wr(xStage))
@@ -481,7 +481,7 @@ func (g *gen) emitFCFP(mi int, lm *LayerMap, img int) {
 			[]opr{C(yStage.addr), C(isa.PortLeft), C(y.addr), C(isa.AbsTile(y.tile)), C(sl), C(0)},
 			rd(yStage), wr(y))
 		if g.isLast(mi) {
-			dst := extOutputBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, s)
+			dst := g.out.Ext.Output.Base + int64(img)*g.out.OutputElems + outUnitOffset(lm, s)
 			g.em.op(k, isa.DMASTORE,
 				[]opr{C(yStage.addr), C(isa.PortLeft), C(dst), C(isa.PortExt), C(sl), C(0)},
 				rd(yStage))
@@ -655,7 +655,7 @@ func (g *gen) emitHead(img int) {
 			[]opr{C(y.addr), C(isa.AbsTile(y.tile)), C(eRaw.addr), C(isa.AbsTile(eRaw.tile)), C(y.size), C(0)},
 			rd(y), wr(eRaw))
 		// err -= golden (WUPDATE with lr = 1.0)
-		src := extGoldenBase + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
+		src := g.out.Ext.Golden.Base + int64(img)*g.out.OutputElems + outUnitOffset(lm, f)
 		g.em.op(k, isa.DMALOAD,
 			[]opr{C(src), C(isa.PortExt), C(gs.addr), C(isa.AbsTile(gs.tile)), C(y.size), C(0)},
 			wr(gs))

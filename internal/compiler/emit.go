@@ -46,12 +46,16 @@ type region struct {
 	prologueWrites int
 }
 
-// allocator hands out scratchpad ranges per MemHeavy tile.
+// allocator hands out scratchpad ranges per MemHeavy tile. The first
+// request that does not fit is recorded in err (code generation checks it
+// and fails the compile); alloc still returns a region so emission can
+// proceed to that check without special cases at every call site.
 type allocator struct {
 	rows     int
 	capacity int64
 	next     []int64
 	regions  []*region
+	err      error
 }
 
 func newAllocator(rows, totalMemTiles int, capacityElems int64) *allocator {
@@ -63,11 +67,14 @@ func (a *allocator) tileIndex(tc TileCoord) int { return tc.MCol*a.rows + tc.Row
 
 func (a *allocator) alloc(tc TileCoord, size int64, name string, kind regionKind) *region {
 	t := a.tileIndex(tc)
-	if a.next[t]+size > a.capacity {
-		panic(fmt.Sprintf("compiler: MemHeavy tile (r%d,m%d) over capacity: %d + %d > %d (%s)",
-			tc.Row, tc.MCol, a.next[t], size, a.capacity, name))
-	}
 	r := &region{tile: t, addr: a.next[t], size: size, name: name, kind: kind, tiles: map[progKey]bool{}}
+	if a.next[t]+size > a.capacity {
+		if a.err == nil {
+			a.err = fmt.Errorf("compiler: MemHeavy tile (r%d,m%d) over capacity: region %s needs %d elements at %d, capacity %d",
+				tc.Row, tc.MCol, name, size, a.next[t], a.capacity)
+		}
+		return r
+	}
 	a.next[t] += size
 	a.regions = append(a.regions, r)
 	return r

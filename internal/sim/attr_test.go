@@ -46,6 +46,7 @@ func TestAttributionScalarAndArray(t *testing.T) {
 
 func TestAttributionTrackerWaitAndDrain(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 4, NumUpdates: 1, NumReads: 1}})
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{5, 6, 7, 8})
@@ -77,6 +78,7 @@ func TestAttributionNACK(t *testing.T) {
 	chip := testChip()
 	chip.MemHeavy.TrackQueueDepth = 1
 	m := NewMachine(chip, arch.Single, true)
+	m.SetExtMem(1024)
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 2, NumUpdates: 1, NumReads: 2}})
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{7, 9})
@@ -103,6 +105,7 @@ func TestAttributionNACK(t *testing.T) {
 
 func TestAttributionDMAContention(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(20000)
 	m.WriteExt(0, make([]float32, 20000))
 	p1 := prog("p1", opInstr(isa.DMALOAD, 0, isa.PortExt, 0, isa.PortLeft, 5000, 0))
 	p2 := prog("p2", opInstr(isa.DMALOAD, 10000, isa.PortExt, 5000, isa.PortLeft, 5000, 0))

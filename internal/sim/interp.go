@@ -185,6 +185,7 @@ func (m *Machine) admit(ct *compTile, accs []access, desc string, end Cycle) boo
 			a.loc.mem.touch(a.addr, a.size)
 		} else {
 			a.loc.ext.bytes += bytes
+			a.loc.ext.touch(a.addr, a.size)
 		}
 	}
 	return true

@@ -300,11 +300,30 @@ func (m *Machine) ReadMemInto(tile int, addr int64, dst []float32) {
 	}
 }
 
+// SetExtMem sizes external memory to exactly elems elements (the compiler's
+// layout extent; see compiler.ExtLayout). Any later access outside
+// [0, elems) fails. Functional mode backs the extent with zeroed storage,
+// reusing capacity a pooled machine retained; timing-only mode allocates
+// nothing.
+func (m *Machine) SetExtMem(elems int64) {
+	e := m.ext
+	clear(e.data)
+	e.extent = elems
+	switch {
+	case !m.Functional:
+		e.data = nil
+	case int64(cap(e.data)) >= elems:
+		e.data = e.data[:elems]
+	default:
+		e.data = make([]float32, elems)
+	}
+}
+
 // WriteExt pre-loads external memory (network inputs, golden outputs,
 // off-chip weights), quantizing in half-precision mode.
 func (m *Machine) WriteExt(addr int64, vals []float32) {
 	m.ext.write(addr, vals, false)
-	if m.half {
+	if m.half && m.ext.data != nil {
 		tensor.RoundHalfSlice(m.ext.data[addr : addr+int64(len(vals))])
 	}
 }
@@ -319,7 +338,11 @@ func (m *Machine) ReadExt(addr, size int64) []float32 {
 // ReadExtInto reads len(dst) external-memory elements starting at addr into
 // dst; the buffer-reusing variant of ReadExt.
 func (m *Machine) ReadExtInto(addr int64, dst []float32) {
-	copy(dst, m.ext.read(addr, int64(len(dst))))
+	if src := m.ext.read(addr, int64(len(dst))); src != nil {
+		copy(dst, src)
+	} else {
+		clear(dst)
+	}
 }
 
 // SetMemo enables (or disables) within-chip replica memoization: rows of
@@ -390,10 +413,12 @@ func (m *Machine) Run() (Stats, error) {
 }
 
 // Reset returns the machine to its post-NewMachine state — programs,
-// trackers, tile clocks, statistics and telemetry hooks all cleared, with
-// every buffer (scratchpads, external memory, event queue, arena) retained
-// at capacity — so sweep workers can reuse one machine's allocations across
-// jobs of the same chip configuration.
+// trackers, tile clocks, statistics, telemetry hooks and the external-memory
+// extent all cleared, with every buffer (scratchpads, external memory, event
+// queue, arena) retained at capacity — so sweep workers can reuse one
+// machine's allocations across jobs of the same chip configuration. Only
+// what the last run touched is zeroed: each scratchpad up to its high-water
+// mark and external memory up to its extent.
 func (m *Machine) Reset() {
 	m.eng.reset()
 	for _, ct := range m.comp {
@@ -401,20 +426,17 @@ func (m *Machine) Reset() {
 		*ct = compTile{index: ct.index, row: ct.row, ccol: ct.ccol, step: ct.step, nameStr: name}
 	}
 	for _, mt := range m.mem {
+		// Every scratchpad access goes through touch, so nothing past the
+		// high-water mark was written. touch raises peakAddr before its
+		// bounds check, hence the clamp.
+		clear(mt.data[:min(mt.peakAddr, int64(len(mt.data)))])
 		mt.trackers = mt.trackers[:0]
 		mt.sfuBusy, mt.dmaBusy = 0, 0
 		mt.sfuCycles, mt.bytesMoved, mt.peakAddr = 0, 0, 0
-		if mt.data != nil {
-			for i := range mt.data {
-				mt.data[i] = 0
-			}
-		}
 	}
-	// Keep external capacity but zero it: grow() zero-fills fresh storage,
-	// so a reused extent is indistinguishable from a new machine's.
-	for i := range m.ext.data {
-		m.ext.data[i] = 0
-	}
+	// Zero the used extent and truncate it, keeping the capacity for the
+	// next SetExtMem: a reused machine is indistinguishable from a new one.
+	m.SetExtMem(0)
 	m.ext.busy, m.ext.bytes = 0, 0
 	clear(m.poolRoute)
 	clear(m.decoded)

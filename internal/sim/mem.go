@@ -70,41 +70,35 @@ func (m *memTile) touch(addr, size int64) {
 }
 
 // extMem models a chip's external memory channels: a flat element-addressed
-// store with unbounded capacity and untracked access (the harness pre-loads
-// inputs, golden outputs and off-chip weights here).
+// store with untracked access (the harness pre-loads inputs, golden outputs
+// and off-chip weights here). Its extent is set exactly by the compiler's
+// layout (Machine.SetExtMem); an access outside it is a simulator fault.
 type extMem struct {
-	data  []float32
-	busy  Cycle
-	bytes int64
+	data   []float32 // len == extent in functional mode; nil in timing-only mode
+	extent int64     // elements
+	busy   Cycle
+	bytes  int64
 }
 
-func (e *extMem) grow(addr, size int64) {
-	need := addr + size
-	if int64(len(e.data)) >= need {
-		return
+func (e *extMem) touch(addr, size int64) {
+	if addr < 0 || addr+size > e.extent {
+		panic(fmt.Sprintf("sim: extmem: access [%d+%d) exceeds extent %d", addr, size, e.extent))
 	}
-	// Geometric (≥2×) growth: writing a large tensor element-group by
-	// element-group must cost O(n) amortized, not the O(n²) a fixed-pad
-	// policy degrades to.
-	n := 2 * int64(len(e.data))
-	if n < need {
-		n = need
-	}
-	if n < 1024 {
-		n = 1024
-	}
-	grown := make([]float32, n)
-	copy(grown, e.data)
-	e.data = grown
 }
 
 func (e *extMem) read(addr, size int64) []float32 {
-	e.grow(addr, size)
+	e.touch(addr, size)
+	if e.data == nil {
+		return nil
+	}
 	return e.data[addr : addr+size]
 }
 
 func (e *extMem) write(addr int64, vals []float32, acc bool) {
-	e.grow(addr, int64(len(vals)))
+	e.touch(addr, int64(len(vals)))
+	if e.data == nil {
+		return
+	}
 	if acc {
 		for i, v := range vals {
 			e.data[addr+int64(i)] += v

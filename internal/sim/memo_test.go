@@ -138,6 +138,7 @@ func TestMemoNonPortableProgram(t *testing.T) {
 		opInstr(isa.DMASTORE, 0, int64(isa.PortLeft), 100, int64(isa.PortExt), 4, 0),
 	)
 	m := NewMachine(rowChip(2), arch.Single, false)
+	m.SetExtMem(1024)
 	m.SetMemo(true)
 	loadRows(t, m, p)
 	st := mustRun(t, m)

@@ -26,10 +26,6 @@ func (m *Machine) readVec(loc location, addr, size int64) []float32 {
 		}
 		return loc.mem.data[addr : addr+size]
 	}
-	if !m.Functional {
-		loc.ext.grow(addr, size)
-		return nil
-	}
 	return loc.ext.read(addr, size)
 }
 
@@ -49,10 +45,6 @@ func (m *Machine) writeVec(loc location, addr int64, vals []float32, size int64,
 		if m.half {
 			tensor.RoundHalfSlice(loc.mem.data[addr : addr+size])
 		}
-		return
-	}
-	if vals == nil {
-		loc.ext.grow(addr, size)
 		return
 	}
 	loc.ext.write(addr, vals, acc)

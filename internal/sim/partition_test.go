@@ -189,6 +189,7 @@ func TestNonPortableFallsBackToGlobal(t *testing.T) {
 		opInstr(isa.DMASTORE, 0, int64(isa.PortLeft), 100, int64(isa.PortExt), 4, 0),
 	)
 	m := NewMachine(rowChip(2), arch.Single, false)
+	m.SetExtMem(1024)
 	loadRows(t, m, p)
 	if m.canShard() {
 		t.Fatal("non-portable program classified shardable")

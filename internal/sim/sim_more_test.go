@@ -43,6 +43,7 @@ func TestPassBuffContributesTimeAndTraffic(t *testing.T) {
 
 func TestSetFreqChangesDMACycles(t *testing.T) {
 	slow := newTestMachine()
+	slow.SetExtMem(10000)
 	slow.SetFreq(1200e6) // double clock → more cycles per byte at same GB/s
 	slow.WriteExt(0, make([]float32, 10000))
 	p := func() *isa.Program { return prog("t", opInstr(isa.DMALOAD, 0, isa.PortExt, 0, isa.PortLeft, 10000, 0)) }
@@ -52,6 +53,7 @@ func TestSetFreqChangesDMACycles(t *testing.T) {
 	stSlow := mustRun(t, slow)
 
 	fast := newTestMachine() // default 600 MHz
+	fast.SetExtMem(10000)
 	fast.WriteExt(0, make([]float32, 10000))
 	if err := fast.LoadProgram(0, 0, StepFP, p()); err != nil {
 		t.Fatal(err)

@@ -80,6 +80,7 @@ func TestScalarLoopAndHalt(t *testing.T) {
 
 func TestScalarALUOps(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	p := prog("t", []isa.Instr{
 		isa.Ldri(1, 7),
 		isa.Ldri(2, 3),
@@ -110,6 +111,7 @@ func TestScalarALUOps(t *testing.T) {
 
 func TestDMAExtToMemAndBack(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.WriteExt(50, []float32{1, 2, 3, 4})
 	p := prog("t",
 		// DMALOAD src=50 ext → dst=8 left mem, size 4
@@ -398,6 +400,7 @@ func TestWUpdateAndMemSet(t *testing.T) {
 
 func TestTrackerOrdersProducerConsumer(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	// Producer (tile r0,c0 FP) writes 4 elems to right tile addr 0 after a
 	// long scalar delay; consumer (tile r0,c1 FP — right tile is its LEFT)
 	// reads it to ext. Tracker: 1 update then 1 read.
@@ -423,6 +426,7 @@ func TestTrackerOrdersProducerConsumer(t *testing.T) {
 
 func TestTrackerGenerationalReset(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	// Range with 1 update / 1 read per generation, exercised twice: write A,
 	// read A, write B, read B. The second write must wait for the first read.
 	mid := m.MemTileIndex(0, 1)
@@ -457,6 +461,7 @@ func TestTrackerGenerationalReset(t *testing.T) {
 
 func TestTrackerAccumulationFromTwoProducers(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	// Two producers accumulate into the same tracked range (NumUpdates=2);
 	// a consumer reads the sum. Commutativity means either arrival order
 	// must give the same result (§3.2.4 insight (ii)).
@@ -489,6 +494,7 @@ func TestTrackerAccumulationFromTwoProducers(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	// Tracker expects 2 updates but only 1 arrives → the reader deadlocks.
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 2, NumUpdates: 2, NumReads: 1}})
@@ -518,6 +524,7 @@ func TestNACKOnFullQueue(t *testing.T) {
 	chip.MemHeavy.TrackQueueDepth = 1
 	chip.Rows = 2
 	m := NewMachine(chip, arch.Single, true)
+	m.SetExtMem(1024)
 	// One producer delayed; two consumers block on the same tracker — one
 	// queues, the other NACKs and retries.
 	mid := m.MemTileIndex(0, 1)
@@ -550,6 +557,7 @@ func TestNACKOnFullQueue(t *testing.T) {
 func TestTimingDMAContention(t *testing.T) {
 	// Two DMAs through the same MemHeavy tile serialize on its DMA engine.
 	m := newTestMachine()
+	m.SetExtMem(20000)
 	m.WriteExt(0, make([]float32, 20000))
 	p1 := prog("p1", opInstr(isa.DMALOAD, 0, isa.PortExt, 0, isa.PortLeft, 5000, 0))
 	p2 := prog("p2", opInstr(isa.DMALOAD, 10000, isa.PortExt, 5000, isa.PortLeft, 5000, 0))
@@ -561,6 +569,7 @@ func TestTimingDMAContention(t *testing.T) {
 	}
 	st := mustRun(t, m)
 	single := NewMachine(testChip(), arch.Single, true)
+	single.SetExtMem(20000)
 	single.WriteExt(0, make([]float32, 20000))
 	if err := single.LoadProgram(0, 0, StepFP, prog("q", opInstr(isa.DMALOAD, 0, isa.PortExt, 0, isa.PortLeft, 5000, 0))); err != nil {
 		t.Fatal(err)
@@ -573,6 +582,7 @@ func TestTimingDMAContention(t *testing.T) {
 
 func TestTimingOnlyModeCarriesNoData(t *testing.T) {
 	m := NewMachine(testChip(), arch.Single, false)
+	m.SetExtMem(1024)
 	m.WriteExt(0, []float32{1, 2, 3, 4})
 	p := prog("t", opInstr(isa.DMALOAD, 0, isa.PortExt, 0, isa.PortLeft, 4, 0))
 	if err := m.LoadProgram(0, 0, StepFP, p); err != nil {

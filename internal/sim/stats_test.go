@@ -11,6 +11,7 @@ import (
 // Machine carried the previous maximum forward.
 func TestCollectStatsResetsCycles(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	p := prog("t", opInstr(isa.DMASTORE, 0, isa.PortLeft, 100, isa.PortExt, 1, 0))
 	if err := m.LoadProgram(0, 0, StepFP, p); err != nil {

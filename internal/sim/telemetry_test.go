@@ -16,6 +16,7 @@ import (
 // a delayed producer DMA and a consumer that stalls on the tracker.
 func producerConsumer(t *testing.T, m *Machine) {
 	t.Helper()
+	m.SetExtMem(1024)
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 2, NumUpdates: 1, NumReads: 1}})
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{5, 6})
@@ -141,6 +142,7 @@ func TestStatsRegistryStandalone(t *testing.T) {
 func benchMachine(b *testing.B, withTelemetry bool) (*Machine, *telemetry.Trace, *telemetry.Registry) {
 	b.Helper()
 	m := NewMachine(testChip(), arch.Single, false)
+	m.SetExtMem(1024)
 	var groups [][]isa.Instr
 	for i := 0; i < 256; i++ {
 		groups = append(groups, opInstr(isa.DMASTORE, 0, isa.PortLeft, int64(100+i), isa.PortExt, 8, 0))

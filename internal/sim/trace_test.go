@@ -9,6 +9,7 @@ import (
 
 func TestTraceRecordsOpsAndStalls(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.EnableTrace(0)
 	mid := m.MemTileIndex(0, 1)
 	m.ArmTrackers([]TrackerSpec{{MemTile: mid, Addr: 0, Size: 2, NumUpdates: 1, NumReads: 1}})
@@ -63,6 +64,7 @@ func TestTraceRecordsOpsAndStalls(t *testing.T) {
 
 func TestTraceLimitDropsExcess(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.EnableTrace(2)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	var groups [][]isa.Instr
@@ -113,6 +115,7 @@ func TestSummarizeStallOnlyTrace(t *testing.T) {
 
 func TestSummarizeTraceAtDropLimit(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.EnableTrace(3)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	var groups [][]isa.Instr
@@ -142,6 +145,7 @@ func TestSummarizeTraceAtDropLimit(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := newTestMachine()
+	m.SetExtMem(1024)
 	m.WriteMem(m.MemTileIndex(0, 0), 0, []float32{1})
 	if err := m.LoadProgram(0, 0, StepFP, prog("t", opInstr(isa.DMASTORE, 0, isa.PortLeft, 100, isa.PortExt, 1, 0))); err != nil {
 		t.Fatal(err)

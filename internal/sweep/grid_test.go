@@ -176,3 +176,27 @@ func TestRunGridResultsReproducible(t *testing.T) {
 		t.Fatalf("iterations not threaded through: %+v", r1[0])
 	}
 }
+
+// TestOverCapacityCellFailsJob: a cell whose layout does not fit the chip
+// (minivgg training at minibatch 64 on the half-precision 3×8 chip) fails
+// the grid with the compiler's error naming the tile and region, on the
+// worker pool as well as serially, instead of panicking through it.
+func TestOverCapacityCellFailsJob(t *testing.T) {
+	g := Grid{
+		Workloads:   []string{"simnet", "minivgg"},
+		Archs:       []string{"half"},
+		Minibatches: []int{64},
+		Modes:       []string{"train"},
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := RunGrid(context.Background(), g, Options{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: over-capacity grid succeeded", workers)
+		}
+		for _, want := range []string{"minivgg/half/mb64/train", "over capacity", "region "} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: error %q does not contain %q", workers, err, want)
+			}
+		}
+	}
+}
