@@ -24,83 +24,60 @@ vet:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/sim/... ./internal/sweep/... ./internal/cluster/... ./internal/par/... ./internal/tensor/... ./internal/store/... ./internal/server/...
 
-# bench runs the tier-1 simulator benchmarks (the telemetry-off/on hot-path
-# pair among them: the nil-sink fast path must not cost anything when
-# disabled) and records the results as a test2json stream in BENCH_sim.json
-# so successive PRs leave a perf trajectory. The telemetry-on/off pair is
-# gated: a cell simulation with the full observability stack (job-trace
-# lane, metrics registry, structured log line) must cost at most
-# $(TELEMETRY_MAX_RATIO)x the telemetry-off run, asserted by
-# sdbenchdiff -ratio right after BENCH_sim.json is written. The sweep benchmark times the
-# same 8-job grid serially and sharded across GOMAXPROCS workers and records
-# the wall-clock ratio (speedup-x) in BENCH_sweep.json. The memo benchmark
-# runs a deliberately duplicated grid with cell memoization on and off and
-# records the wall-clock/allocs gap (memo-speedup-x) in BENCH_memo.json. The
-# tensor benchmarks time the naive reference kernels against the blocked
-# serial and blocked+parallel engine at MiniVGG GEMM/conv shapes and record
-# the naive-vs-engine ratio (speedup-x) in BENCH_tensor.json. The store
-# benchmark runs the same grid cold (simulate + persist), warm from a fresh
-# process replaying disk blobs, and warm from the in-process memory tier,
-# and records the ratios (disk-speedup-x, mem-speedup-x) in BENCH_store.json.
-# The chip benchmark runs a VGG-E-derived data-parallel replica workload on
-# the full 6x16 baseline ConvLayer chip serially and partitioned across 4
-# tile workers, and records the wall-clock ratio (chip-speedup-x) in
-# BENCH_chip.json; the gain saturates at min(4, usable cores, runnable rows),
-# so no ratio gate is asserted here.
-# The predict benchmarks time one cold exact cell simulation against the
-# learned fast path answering the same cell (features + confidence gate +
-# dot products) and record the per-cell gap (predict-speedup-x) in
-# BENCH_predict.json; the ratio gate asserts the fast path stays at least
-# 1/$(PREDICT_MAX_RATIO) = 100x faster per cell. The gate is parallelism-
-# independent (the predict benchmarks report no workers metric), so it is
-# never skipped on single-core runners.
-# The serve benchmarks fire a duplicate-heavy job storm at the sdserve
-# scheduler one job at a time and four jobs wide, and record jobs-per-sec,
-# p95 latency and the single-flight coalescing counts in BENCH_serve.json;
-# the ratio gate asserts the concurrent storm finishes in at most
-# $(SERVE_MAX_RATIO)x the serial wall-clock (>= 2x the throughput) on a
-# multi-core runner, and skips itself on one core via the workers metric.
+# bench runs the benchmark table below, one test2json stream per row, so
+# successive PRs leave a perf trajectory in the committed BENCH_*.json files.
+# Each row is name:package:-bench pattern:extra flags and writes
+# BENCH_<name>.json:
+#   sim      tier-1 simulator hot path, including the telemetry-off/on pair
+#            (a cell with the full observability stack vs none);
+#   sweep    the same 8-job grid serially and across GOMAXPROCS workers
+#            (speedup-x);
+#   memo     a deliberately duplicated grid with cell memoization on and off
+#            (memo-speedup-x);
+#   tensor   naive reference kernels vs the blocked serial and
+#            blocked+parallel engine at MiniVGG GEMM/conv shapes (speedup-x);
+#   store    one grid cold (simulate + persist), warm from disk in a fresh
+#            process and warm from the memory tier (disk-/mem-speedup-x);
+#   predict  one cold exact cell simulation vs the learned fast path
+#            answering the same cell (predict-speedup-x);
+#   serve    a duplicate-heavy job storm at the sdserve scheduler, one job
+#            at a time and four wide (jobs/s, p95 latency, coalescing).
+# Three ratios are gated with sdbenchdiff -ratio once every file is written:
+# telemetry-on costs at most $(TELEMETRY_MAX_RATIO)x telemetry-off; the
+# predictor's fast path is at least 1/$(PREDICT_MAX_RATIO) = 100x faster per
+# cell than exact simulation (parallelism-independent, never skipped); and
+# the concurrent storm finishes in at most $(SERVE_MAX_RATIO)x the serial
+# wall-clock on a multi-core runner (skipped on one core via the workers
+# metric).
 TELEMETRY_MAX_RATIO ?= 1.5
 PREDICT_MAX_RATIO ?= 0.01
 SERVE_MAX_RATIO ?= 0.5
 
+BENCHES = \
+	sim:./internal/sim/:.:-benchmem \
+	sweep:./internal/sweep/:Grid: \
+	memo:./internal/sweep/:SweepMemo:-benchmem \
+	tensor:./internal/tensor/:Kernel:-benchmem \
+	store:./internal/sweep/:SweepStore:-benchmem \
+	predict:./internal/predict/:Predict:-benchmem \
+	serve:./internal/server/:ServeStorm:
+
 bench:
-	$(GO) test -run '^$$' -bench . -skip Chip -benchmem -json ./internal/sim/ > BENCH_sim.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_sim.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_sim.json"
+	@set -e; for row in $(BENCHES); do \
+		set -- $$(echo "$$row" | tr : ' '); \
+		echo "$(GO) test -run '^$$' -bench $$3 $$4 -json $$2 > BENCH_$$1.json"; \
+		$(GO) test -run '^$$' -bench "$$3" $$4 -json "$$2" > "BENCH_$$1.json"; \
+		grep -o '"Output":"Benchmark[^"]*' "BENCH_$$1.json" | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true; \
+		echo "wrote BENCH_$$1.json"; \
+	done
 	$(GO) run ./cmd/sdbenchdiff -ratio RunTelemetryOn/RunTelemetryOff -max-ratio $(TELEMETRY_MAX_RATIO) BENCH_sim.json
-	$(GO) test -run '^$$' -bench Grid -json ./internal/sweep/ > BENCH_sweep.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_sweep.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_sweep.json"
-	$(GO) test -run '^$$' -bench SweepMemo -benchmem -json ./internal/sweep/ > BENCH_memo.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_memo.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_memo.json"
-	$(GO) test -run '^$$' -bench Kernel -benchmem -json ./internal/tensor/ > BENCH_tensor.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_tensor.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_tensor.json"
-	$(GO) test -run '^$$' -bench SweepStore -benchmem -json ./internal/sweep/ > BENCH_store.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_store.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_store.json"
-	$(GO) test -run '^$$' -bench Chip -benchmem -json ./internal/sim/ > BENCH_chip.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_chip.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_chip.json"
-	$(GO) test -run '^$$' -bench Predict -benchmem -json ./internal/predict/ > BENCH_predict.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_predict.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_predict.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio PredictCellFast/PredictCellExact -max-ratio $(PREDICT_MAX_RATIO) BENCH_predict.json
-	$(GO) test -run '^$$' -bench ServeStorm -json ./internal/server/ > BENCH_serve.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_serve.json"
 	$(GO) run ./cmd/sdbenchdiff -ratio ServeStormConcurrent/ServeStormSerial -max-ratio $(SERVE_MAX_RATIO) BENCH_serve.json
 
-# benchdiff prints a benchstat-style before/after table for each committed
-# BENCH file against its freshly regenerated counterpart. Run `make bench`
-# first; with the working tree clean, `git stash`-style comparison is just
-# `git show HEAD:BENCH_sim.json > old.json && make benchdiff OLD=old.json`.
 benchdiff:
-	@for f in BENCH_sim BENCH_sweep BENCH_memo BENCH_tensor BENCH_store BENCH_chip BENCH_predict BENCH_serve; do \
-		if git show HEAD:$$f.json > /tmp/$$f.base.json 2>/dev/null; then \
-			echo "== $$f: HEAD vs working tree =="; \
-			$(GO) run ./cmd/sdbenchdiff /tmp/$$f.base.json $$f.json; \
+	@for f in BENCH_*.json; do \
+		if git show HEAD:$$f > /tmp/$$f.base 2>/dev/null; then \
+			echo "== $${f%.json}: HEAD vs working tree =="; \
+			$(GO) run ./cmd/sdbenchdiff /tmp/$$f.base $$f; \
 		fi; \
 	done

@@ -41,7 +41,6 @@ func main() {
 	top := flag.Int("top", 0, "limit the table to the N worst layers (0 = all)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of the table")
 	serveAddr := flag.String("serve", "", "also serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
-	tileWorkers := flag.Int("tile-workers", 0, "per-tile chip partitioning worker cap (0 = auto, 1 = serial); results are byte-identical at any value")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
@@ -91,7 +90,6 @@ func main() {
 
 	m := sim.NewMachine(chip, arch.Single, true)
 	m.EnableInstrProfile()
-	m.SetTileWorkers(*tileWorkers)
 	if spanTrace != nil {
 		m.SetSpanSink(spanTrace)
 	}

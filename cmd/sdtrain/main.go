@@ -41,10 +41,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace, /profile and /debug/pprof/ on this address and stay up after the run")
 	batch := flag.String("batch", "", "comma-separated iteration counts: run the equivalence check once per count via the sweep engine")
 	parallel := flag.Int("parallel", 0, "batch-mode worker-pool size (0 = GOMAXPROCS)")
-	noMemo := flag.Bool("no-memo", false, "disable replica memoization (within-chip row memo on timing-only machines)")
-	verifyMemo := flag.Bool("verify-memo", false, "cross-check memoized results against full simulation and fail on divergence")
 	kernelWorkers := flag.Int("kernel-workers", 0, "tensor kernel worker-pool size for functional execution (0 = GOMAXPROCS); results are bit-identical at any value")
-	tileWorkers := flag.Int("tile-workers", 0, "per-tile chip partitioning worker cap (0 = auto, 1 = serial); results are byte-identical at any value")
 	storeDir := flag.String("store-dir", "", "batch mode: persist equivalence-check results in a content-addressed store at this directory")
 	logOut := flag.String("log-out", "", "structured JSON log destination (path, - for stderr, empty = off)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -61,7 +58,7 @@ func main() {
 	defer closeLog()
 
 	if *batch != "" {
-		runBatch(*batch, *parallel, *tileWorkers, *metricsOut, *storeDir, logger)
+		runBatch(*batch, *parallel, *metricsOut, *storeDir, logger)
 		return
 	}
 
@@ -112,9 +109,6 @@ func main() {
 		os.Exit(1)
 	}
 	m := sim.NewMachine(chip, arch.Single, true)
-	m.SetMemo(!*noMemo)
-	m.SetVerifyMemo(*verifyMemo)
-	m.SetTileWorkers(*tileWorkers)
 	if spanTrace != nil {
 		m.SetSpanSink(spanTrace)
 	}
@@ -262,7 +256,7 @@ func trainKey(iters int) string {
 // iteration count across the sweep engine's worker pool. Each job is fully
 // self-contained (own network, executors, machine, RNG), so jobs are
 // independent and the report comes out in list order for any -parallel.
-func runBatch(batch string, parallel, tileWorkers int, metricsOut, storeDir string, logger *slog.Logger) {
+func runBatch(batch string, parallel int, metricsOut, storeDir string, logger *slog.Logger) {
 	var counts []int
 	for _, s := range strings.Split(batch, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -312,7 +306,7 @@ func runBatch(batch string, parallel, tileWorkers int, metricsOut, storeDir stri
 					}
 				}
 			}
-			cycles, worst, err := trainOnce(iters, tileWorkers, reg)
+			cycles, worst, err := trainOnce(iters, reg)
 			if err != nil {
 				return trainCheck{}, err
 			}
@@ -373,7 +367,7 @@ func runBatch(batch string, parallel, tileWorkers int, metricsOut, storeDir stri
 // trainOnce runs the full equivalence check for one iteration count and
 // returns the simulated cycle count and the worst trained-weight divergence
 // between the hardware path and the software reference.
-func trainOnce(iters, tileWorkers int, reg *telemetry.Registry) (int64, float64, error) {
+func trainOnce(iters int, reg *telemetry.Registry) (int64, float64, error) {
 	const mb = 2
 	const lr = float32(0.03125)
 
@@ -407,7 +401,6 @@ func trainOnce(iters, tileWorkers int, reg *telemetry.Registry) (int64, float64,
 		return 0, 0, err
 	}
 	m := sim.NewMachine(chip, arch.Single, true)
-	m.SetTileWorkers(tileWorkers)
 	if reg != nil {
 		m.SetMetrics(reg)
 	}

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"scaledeep/internal/arch"
@@ -183,30 +182,6 @@ func generate(m *Mapping, opts Options, base time.Time) (*Compiled, error) {
 	g.out.LayerTags = layerTags
 	g.out.Trackers = trackers
 	return g.out, nil
-}
-
-// ReplicaClasses groups the compiled per-tile programs into content
-// equivalence classes: every tile in one class received a byte-identical
-// instruction stream (equal isa.Program content hashes, e.g. the per-image
-// column replicas of a data-parallel layer). Each class lists its tiles as
-// "r<row>c<col>/<step>" labels in sorted order, and classes are sorted by
-// their first label, so the output is stable across map iteration order.
-// The simulator's within-chip replica memoization keys on the same program
-// identity; this view lets tools report how much of a chip is replicated
-// before anything runs.
-func (c *Compiled) ReplicaClasses() [][]string {
-	byHash := map[uint64][]string{}
-	for k, p := range c.Programs {
-		h := p.ContentHash()
-		byHash[h] = append(byHash[h], fmt.Sprintf("r%dc%d/%s", k.Row, k.CCol, k.Step))
-	}
-	classes := make([][]string, 0, len(byHash))
-	for _, labels := range byHash {
-		sort.Strings(labels)
-		classes = append(classes, labels)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
-	return classes
 }
 
 // LayerName resolves a LayerTags entry to the network layer's name

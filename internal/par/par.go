@@ -1,38 +1,36 @@
 // Package par provides a small bounded worker pool for data-parallel kernels.
 //
-// The primitive is For (and its capped variant ForMax), which partitions an
-// index range [0, n) into one contiguous block per worker and runs the blocks
-// concurrently. Because the blocks are disjoint and each block is processed
-// in ascending index order by a single goroutine, any kernel whose per-index
-// work writes only to locations owned by that index produces bit-identical
-// results at every worker count — parallelism changes wall-clock time, never
-// values. This is the determinism contract the tensor kernel engine and the
-// simulator's tile partitioner build on (DESIGN.md, "Kernel engine" and
-// "Epoch-partitioned tile parallelism").
+// The primitive is For, which partitions an index range [0, n) into one
+// contiguous block per worker and runs the blocks concurrently. Because the
+// blocks are disjoint and each block is processed in ascending index order
+// by a single goroutine, any kernel whose per-index work writes only to
+// locations owned by that index produces bit-identical results at every
+// worker count — parallelism changes wall-clock time, never values. This is
+// the determinism contract the tensor kernel engine builds on (DESIGN.md,
+// "Kernel engine").
 //
 // Concurrency is governed by one machine-wide token budget of Workers()-1
 // extra workers. Every For call borrows as many tokens as it can use and
 // returns them when its blocks complete; a call that finds the budget empty
 // runs serial on its caller. Nested and concurrent calls therefore *split*
-// the budget instead of oversubscribing the machine: a sweep worker running
-// tile-parallel simulations whose coarse ops fan out kernel-parallel GEMMs
-// draws every goroutine from the same pool, and whichever layer asks first
-// gets the larger share. Since block boundaries never affect results, any
-// split produces identical output.
+// the budget instead of oversubscribing the machine: a sweep worker whose
+// coarse ops fan out kernel-parallel GEMMs draws every goroutine from the
+// same pool, and whichever layer asks first gets the larger share. Since
+// block boundaries never affect results, any split produces identical
+// output.
 //
-// The same budget arbitrates across concurrent JOBS, not just nested calls:
-// Acquire/Release expose the token counter to coarser schedulers (the sweep
-// engine leases its long-lived cell workers from it), and AcquireSeat lets a
-// job scheduler charge each concurrent job's implicit first worker against
-// the budget, so N jobs × sweep workers × tile workers × kernel workers all
-// sum to at most Workers() live goroutines machine-wide.
+// The same budget arbitrates across concurrent jobs, not just nested calls:
+// Acquire/Release expose the token counter to coarser schedulers. The sweep
+// engine leases its long-lived cell workers from it, and the sdserve
+// dispatcher seats each additional concurrent job's implicit first worker
+// in it, so jobs × sweep workers × kernel workers sum to at most Workers()
+// live goroutines machine-wide.
 package par
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // workers is the configured pool width. 0 means GOMAXPROCS.
@@ -96,41 +94,13 @@ func release(n int) {
 // the cross-layer arbitration primitive behind For: exported so coarser
 // schedulers — the sweep engine leasing long-lived cell workers, the
 // sdserve job scheduler admitting concurrent jobs — draw their goroutines
-// from the same budget the nested kernel/tile For calls use, instead of
+// from the same budget the nested kernel For calls use, instead of
 // stacking independent pools on top of each other. Every token taken with
 // Acquire must be returned with Release.
 func Acquire(want int) int { return acquire(want) }
 
-// Release returns n tokens previously taken with Acquire (or AcquireSeat).
+// Release returns n tokens previously taken with Acquire.
 func Release(n int) { release(n) }
-
-// seatPoll is how often AcquireSeat re-checks the budget. Tokens are
-// returned without notification (a lock-free counter), so waiting is a
-// poll; the interval is far below any simulation's cell time, so a freed
-// token is claimed promptly without measurable spin.
-const seatPoll = time.Millisecond
-
-// AcquireSeat blocks until one extra-worker token is free and takes it, or
-// until cancel is closed; it reports whether the token was acquired. This
-// is the cross-JOB arbitration entry point: a scheduler that already has
-// one job running must seat each additional concurrent job's implicit
-// first worker in the shared budget, so the total number of live workers
-// across all jobs — implicit callers plus every token-borrowing For/lease —
-// never exceeds Workers(). Long-lived borrowers (the sweep engine's leased
-// cell workers) yield their tokens between work items, so a seat request
-// starves no longer than one cell.
-func AcquireSeat(cancel <-chan struct{}) bool {
-	for {
-		if acquire(1) == 1 {
-			return true
-		}
-		select {
-		case <-cancel:
-			return false
-		case <-time.After(seatPoll):
-		}
-	}
-}
 
 // For partitions [0, n) into disjoint contiguous blocks and calls
 // fn(lo, hi) once per block, in parallel across the pool. minGrain is the
@@ -141,22 +111,10 @@ func AcquireSeat(cancel <-chan struct{}) bool {
 // For returns after every block completes. If any block panics, For re-panics
 // with the first captured value after all workers have stopped.
 func For(n, minGrain int, fn func(lo, hi int)) {
-	ForMax(n, minGrain, 0, fn)
-}
-
-// ForMax is For with an explicit per-call worker cap: at most max blocks run
-// concurrently (0 means no cap beyond the shared budget; 1 forces serial).
-// The cap bounds this call's share of the budget, it never raises it — a
-// ForMax(…, 8, …) on a 4-worker machine still borrows at most 3 extra
-// workers.
-func ForMax(n, minGrain, max int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	w := Workers()
-	if max > 0 && w > max {
-		w = max
-	}
 	if minGrain > 1 && w > n/minGrain {
 		w = n / minGrain
 		if w < 1 {

@@ -107,24 +107,6 @@ func TestNestedCallsShareBudget(t *testing.T) {
 	}
 }
 
-// TestForMaxCapsShare verifies the per-call cap: ForMax with max=2 splits
-// the range into at most two blocks even with a wider budget, and max=1
-// forces a single serial block.
-func TestForMaxCapsShare(t *testing.T) {
-	prev := SetWorkers(8)
-	defer SetWorkers(prev)
-	var blocks atomic.Int64
-	ForMax(16, 1, 2, func(lo, hi int) { blocks.Add(1) })
-	if got := blocks.Load(); got > 2 {
-		t.Fatalf("ForMax(max=2) ran %d blocks", got)
-	}
-	calls := 0
-	ForMax(16, 1, 1, func(lo, hi int) { calls++ }) // serial: no race on calls
-	if calls != 1 {
-		t.Fatalf("ForMax(max=1) ran %d blocks, want 1 serial block", calls)
-	}
-}
-
 // TestForPanicPropagates verifies worker panics surface on the caller after
 // all workers have stopped and the borrowed tokens are returned.
 func TestForPanicPropagates(t *testing.T) {

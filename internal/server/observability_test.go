@@ -282,73 +282,6 @@ func TestServerStructuredLogLifecycle(t *testing.T) {
 	}
 }
 
-// TestServerTileWorkersByteIdentical pins the Config.TileWorkers threading
-// through the service: the same spec served at different tile-worker counts
-// must return byte-identical result documents.
-func TestServerTileWorkersByteIdentical(t *testing.T) {
-	result := func(tileWorkers int) []byte {
-		_, ts := startServer(t, Config{TileWorkers: tileWorkers})
-		_, doc := submit(t, ts, testSpec(), "tiles")
-		id := doc["id"].(string)
-		if final := waitDone(t, ts, id); final.State != "done" {
-			t.Fatalf("tile-workers=%d: state %q (error %q)", tileWorkers, final.State, final.Error)
-		}
-		_, body := getBody(t, ts, "/jobs/"+id+"/result")
-		return body
-	}
-	one := result(1)
-	for _, w := range []int{2, 8} {
-		if got := result(w); !bytes.Equal(got, one) {
-			t.Errorf("result at tile-workers=%d differs from serial", w)
-		}
-	}
-}
-
-// TestServerScrapeDuringParallelTileJob extends the scrape-hammer regression
-// to within-chip tile partitioning: /metrics and /trace are polled
-// continuously while a job whose cells shard across tile workers executes —
-// the race-mode check that shard-local state never leaks into the
-// observability surface mid-run.
-func TestServerScrapeDuringParallelTileJob(t *testing.T) {
-	_, ts := startServer(t, Config{TileWorkers: 4, Burst: 16})
-	_, doc := submit(t, ts, testSpec(), "tile-hammer")
-	id := doc["id"].(string)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, p := range []string{"/metrics", "/metrics?format=openmetrics", "/trace", "/jobs/" + id} {
-		wg.Add(1)
-		go func(path string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(ts.URL + path)
-				if err != nil {
-					t.Errorf("GET %s during parallel-tile job: %v", path, err)
-					return
-				}
-				var buf bytes.Buffer
-				buf.ReadFrom(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("GET %s during parallel-tile job: status %d", path, resp.StatusCode)
-					return
-				}
-			}
-		}(p)
-	}
-	final := waitDone(t, ts, id)
-	close(stop)
-	wg.Wait()
-	if final.State != "done" {
-		t.Fatalf("hammered parallel-tile job state %q (error %q)", final.State, final.Error)
-	}
-}
-
 // TestServerScrapeDuringJob hammers every observability endpoint while a
 // job is executing — the race-mode regression test for concurrent scrapes
 // against a live sweep.

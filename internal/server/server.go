@@ -101,10 +101,6 @@ type Config struct {
 	// shared internal/par budget (sweep.Options.BudgetWorkers), so
 	// concurrent jobs split the pool instead of stacking it.
 	SweepWorkers int
-	// TileWorkers caps each job's within-chip tile partitioning share
-	// (sweep.Options.TileWorkers): 0 means auto, 1 forces serial tile
-	// simulation. Results are identical at every setting.
-	TileWorkers int
 	// RatePerSec refills each client's submission bucket; 0 means 1/s.
 	RatePerSec float64
 	// Burst caps each client's bucket; 0 means 8.
@@ -363,7 +359,7 @@ func (s *Server) Drain() {
 // MaxConcurrent running slots, highest priority first. The first running
 // job rides the machine's implicit worker for free; every additional
 // concurrent job must first seat its own implicit worker by winning a token
-// from the shared internal/par budget (par.AcquireSeat), so total live
+// from the shared internal/par budget (a polled par.Acquire), so total live
 // workers across all jobs never exceed par.Workers() — the scheduler and
 // the sweep pools arbitrate over one budget instead of stacking pools.
 // The seat is released when the job finishes (runJob).
@@ -469,7 +465,6 @@ func (s *Server) execute(ctx context.Context, job *JobState) {
 		// Lease extra sweep workers from the shared par budget so concurrent
 		// jobs split one core budget (see the runLoop comment).
 		BudgetWorkers: true,
-		TileWorkers:   s.cfg.TileWorkers,
 		Metrics:       reg,
 		Store:         s.cfg.Store,
 		VerifyStore:   s.cfg.VerifyStore,

@@ -65,8 +65,7 @@ type compTile struct {
 	nackRetries int       // consecutive NACKed requests (bounded)
 
 	// activity statistics — kept per tile (no shared-counter writes on the
-	// hot path) and aggregated into Stats by collectStats. Per-tile counters
-	// are also what replica memoization clones.
+	// hot path) and aggregated into Stats by collectStats.
 	arrayCycles  Cycle // cycles the 2D-PE array was busy
 	scalarCycles Cycle
 	flops        int64
@@ -143,19 +142,6 @@ type Machine struct {
 	// arena it survives across ops (capacity-retaining), so steady-state
 	// NDCONV execution allocates nothing.
 	convScratch tensor.ConvScratch
-
-	// Replica memoization controls (see memo.go). Off by default.
-	memo       bool
-	verifyMemo bool
-
-	// Tile partitioning (see partition.go): when every loaded program is
-	// portable, rows are closed subsystems and Run shards the chip into one
-	// row-local event loop per runnable row, executed across the internal/par
-	// pool. tileWorkers caps this run's share of the pool (0 = auto, 1 =
-	// serial); shards and shardRows are capacity-retaining scratch.
-	tileWorkers int
-	shards      []*Machine
-	shardRows   []int
 
 	// Cycle-attribution scratch: execCoarse implementations report how much
 	// of the op's span was queueing for a busy resource, and how many
@@ -345,39 +331,16 @@ func (m *Machine) ReadExtInto(addr int64, dst []float32) {
 	}
 }
 
-// SetMemo enables (or disables) within-chip replica memoization: rows of
-// provably equivalent tiles are simulated once and their statistics cloned
-// onto the replicas. Off by default; see memo.go for the soundness
-// conditions under which a plan is formed at all.
-func (m *Machine) SetMemo(on bool) { m.memo = on }
-
-// SetVerifyMemo enables verification mode: replica rows are simulated in
-// full anyway and Run fails if any clone's statistics would have diverged
-// from its representative. Implies the cost of a full simulation.
-func (m *Machine) SetVerifyMemo(on bool) { m.verifyMemo = on }
-
 // Run executes all loaded programs to completion and returns the statistics.
 // It fails with a *DeadlockError if the machine stops making progress.
-//
-// When every loaded program is portable, the chip's rows are closed
-// subsystems and Run partitions them across the internal/par worker pool
-// (see partition.go); results are identical to the serial interleaving at
-// every worker count. Non-portable programs fall back to the single global
-// event loop.
 func (m *Machine) Run() (Stats, error) {
-	plan := m.planMemo()
-	skipClones := plan != nil && !m.verifyMemo
 	active := 0
 	for _, ct := range m.comp {
 		if ct.prog == nil {
 			continue
 		}
-		if skipClones && plan.cloneOf[ct.index] >= 0 {
-			// Replica tile: its representative's run will be cloned onto it
-			// after the event loop; mark it finished so drain accounting and
-			// deadlock detection see a consistent picture.
-			ct.halted = true
-			continue
+		if !ct.halted {
+			m.eng.schedule(ct.index, 0)
 		}
 		active++
 	}
@@ -385,31 +348,61 @@ func (m *Machine) Run() (Stats, error) {
 		return Stats{}, fmt.Errorf("sim: no programs loaded")
 	}
 	m.finished = 0
-	var dl *DeadlockError
-	if m.canShard() {
-		dl = m.runSharded(active)
-	} else {
-		dl = m.runGlobal(active)
-	}
+	m.drainEvents()
 	m.flushSpans()
-	if dl != nil {
-		return Stats{}, dl
-	}
-	if plan != nil {
-		if m.verifyMemo {
-			if err := plan.check(m); err != nil {
-				return Stats{}, err
-			}
-		} else {
-			plan.clone(m)
-		}
+	if m.finished < active {
+		return Stats{}, m.deadlock()
 	}
 	m.collectStats()
-	if plan != nil {
-		m.stats.MemoTiles = plan.clones
-	}
 	m.publishMetrics()
 	return m.stats, nil
+}
+
+// drainEvents pops the machine's event queue to empty, resuming tiles in
+// (cycle, seq) order and attributing suspension gaps to their cause.
+func (m *Machine) drainEvents() {
+	for {
+		ev, ok := m.eng.next()
+		if !ok {
+			return
+		}
+		ct := m.comp[ev.tile]
+		if ct.halted {
+			continue
+		}
+		if ev.at > ct.time {
+			// The gap between the tile's own clock and its wake event is
+			// time it spent suspended; attribute it by the suspension cause.
+			d := ev.at - ct.time
+			switch ct.waitCause {
+			case waitNACK:
+				m.account(ct, AttrTrackNACK, d)
+			case waitQueued:
+				m.account(ct, AttrTrackWait, d)
+			default:
+				m.account(ct, AttrIdle, d)
+			}
+			ct.time = ev.at
+		}
+		ct.waitCause = waitNone
+		m.runTile(ct)
+	}
+}
+
+// deadlock builds the blocked-tile report for a run that stopped making
+// progress, stamped with the event queue's final clock.
+func (m *Machine) deadlock() *DeadlockError {
+	d := &DeadlockError{Cycle: m.eng.now}
+	for _, ct := range m.comp {
+		if ct.prog != nil && !ct.halted {
+			desc := ct.blocked
+			if ct.blockTk != nil {
+				desc += " on " + ct.blockTk.String()
+			}
+			d.Blocked = append(d.Blocked, fmt.Sprintf("%s pc=%d: %s", ct.name(), ct.pc, desc))
+		}
+	}
+	return d
 }
 
 // Reset returns the machine to its post-NewMachine state — programs,
@@ -443,19 +436,10 @@ func (m *Machine) Reset() {
 	m.freqHz = 0
 	m.finished = 0
 	m.stats = Stats{}
-	m.memo, m.verifyMemo = false, false
 	m.instrProfile = false
 	m.opQueueWait, m.opBytes = 0, 0
 	m.tracing, m.trace, m.traceLimit, m.traceDropped = false, nil, 0, 0
 	m.spans, m.spanBuf = nil, m.spanBuf[:0]
-	m.tileWorkers = 0
-	// Scrub shard scratch machines: keep their capacity-holding buffers but
-	// drop every reference into this machine's (now-reset) tile state, so a
-	// pooled machine cannot carry per-tile aliases across jobs.
-	for _, sm := range m.shards {
-		sm.scrub()
-	}
-	m.shardRows = m.shardRows[:0]
 	m.SetMetrics(nil)
 }
 

@@ -40,6 +40,19 @@ func opInstr(op isa.Opcode, vals ...int64) []isa.Instr {
 	return append(out, isa.WithArgs(op, regs...))
 }
 
+// opInstrAt is opInstr with an explicit register base, so consecutive ops
+// in one program can keep their operands in disjoint register ranges.
+func opInstrAt(base int, op isa.Opcode, vals ...int64) []isa.Instr {
+	var out []isa.Instr
+	regs := make([]isa.Reg, len(vals))
+	for i, v := range vals {
+		r := isa.Reg(base + i)
+		out = append(out, isa.Ldri(r, int32(v)))
+		regs[i] = r
+	}
+	return append(out, isa.WithArgs(op, regs...))
+}
+
 func prog(tile string, groups ...[]isa.Instr) *isa.Program {
 	p := &isa.Program{Tile: tile}
 	for _, g := range groups {

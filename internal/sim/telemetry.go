@@ -64,26 +64,6 @@ type opHistSet struct {
 	byOp [isa.NumOpcodes]opHist
 }
 
-// add accumulates another shadow histogram into h (the tile-partition merge
-// path: shard-local shadows fold into the parent's before one flush).
-func (h *opHist) add(o *opHist) {
-	for i := range o.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
-// add accumulates another shadow set into s.
-func (s *opHistSet) add(o *opHistSet) {
-	s.all.add(&o.all)
-	for i := range o.byOp {
-		if o.byOp[i].n != 0 {
-			s.byOp[i].add(&o.byOp[i])
-		}
-	}
-}
-
 // opCycleBucket returns the shadow-histogram slot for a duration.
 func opCycleBucket(d Cycle) int {
 	i := 0
@@ -253,12 +233,11 @@ var (
 		}
 		return out
 	}()
-	gaugeDescs = [5]metricDesc{
+	gaugeDescs = [4]metricDesc{
 		newDesc("sim.cycles"),
 		newDesc("sim.pe_utilization"),
 		newDesc("sim.sfu_utilization"),
 		newDesc("sim.active_comp_tiles"),
-		newDesc("sim.memo_tiles"),
 	}
 	opHistDesc = newDesc("sim.op.cycles")
 	opDescs    = func() [isa.NumOpcodes]metricDesc {
@@ -304,8 +283,7 @@ func (s Stats) statsUpdates(cs []telemetry.CounterUpdate, gs []telemetry.GaugeUp
 		gaugeDescs[0].gauge(float64(s.Cycles)),
 		gaugeDescs[1].gauge(s.PEUtilization()),
 		gaugeDescs[2].gauge(s.SFUUtilization()),
-		gaugeDescs[3].gauge(float64(s.ActiveComp)),
-		gaugeDescs[4].gauge(float64(s.MemoTiles)))
+		gaugeDescs[3].gauge(float64(s.ActiveComp)))
 	return cs, gs
 }
 

@@ -53,10 +53,10 @@ func TestBudgetWorkersNoOversubscription(t *testing.T) {
 			seat := 0
 			if r > 0 {
 				// Concurrent runs past the first seat their implicit worker,
-				// exactly as the sdserve scheduler does per admitted job.
-				if !par.AcquireSeat(make(chan struct{})) {
-					t.Error("AcquireSeat returned without a token")
-					return
+				// polling the budget as the sdserve scheduler does per
+				// admitted job.
+				for par.Acquire(1) == 0 {
+					time.Sleep(time.Millisecond)
 				}
 				seat = 1
 			}

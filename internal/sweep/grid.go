@@ -217,7 +217,7 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 		return Map(ctx, jobs, opts, func(ctx context.Context, _ int, job Job, reg *telemetry.Registry) (Result, error) {
 			tc := cellContext(job.Index, job)
 			end := tc.Begin("simulate")
-			r, err := runJob(job, reg, pool, tc, opts.TileWorkers)
+			r, err := runJob(job, reg, pool, tc)
 			end(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
 			if err == nil {
 				recordJobMetrics(reg, r)
@@ -279,7 +279,7 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 					endGet(telemetry.Attr{Key: "outcome", Value: "hit"})
 					if opts.VerifyStore && auditHit(key) {
 						endVerify := tc.Begin("store.verify")
-						verr := verifyStoredHit(job, key, payload, pool, opts.TileWorkers)
+						verr := verifyStoredHit(job, key, payload, pool)
 						endVerify(telemetry.Attr{Key: "outcome", Value: outcomeOf(verr)})
 						if verr != nil {
 							return Result{}, verr
@@ -335,7 +335,7 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 				// serves future runs that do ask for metrics.
 				leadReg = telemetry.NewRegistry()
 				endSim := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(len(classes[ci]))})
-				r, err := runJob(job, leadReg, pool, tc, opts.TileWorkers)
+				r, err := runJob(job, leadReg, pool, tc)
 				endSim(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
 				if err != nil {
 					return nil, err
@@ -379,7 +379,7 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 			repRegs[ci] = reg
 		}
 		endSim := tc.Begin("simulate", telemetry.Attr{Key: "replicas", Value: fmt.Sprint(len(classes[ci]))})
-		r, err := runJob(job, reg, pool, tc, opts.TileWorkers)
+		r, err := runJob(job, reg, pool, tc)
 		endSim(telemetry.Attr{Key: "outcome", Value: outcomeOf(err)})
 		if err != nil {
 			return r, err
@@ -445,7 +445,7 @@ func verifyMemo(ctx context.Context, jobs []Job, classes [][]int, results []Resu
 		return nil
 	}
 	fresh, err := Map(ctx, checks, opts, func(ctx context.Context, _ int, job Job, _ *telemetry.Registry) (Result, error) {
-		return runJob(job, nil, pool, telemetry.TraceContext{}, opts.TileWorkers)
+		return runJob(job, nil, pool, telemetry.TraceContext{})
 	})
 	if err != nil {
 		return err
@@ -576,7 +576,7 @@ func outcomeOf(err error) string {
 // cell's trace lane (cycle timestamps on "comp[...]"/"mem[...]" tracks under
 // the lane prefix). Cycle streams are deterministic per spec, so traced
 // spans never break cross-parallelism determinism.
-func runJob(job Job, reg *telemetry.Registry, pool *machinePool, tc telemetry.TraceContext, tileWorkers int) (Result, error) {
+func runJob(job Job, reg *telemetry.Registry, pool *machinePool, tc telemetry.TraceContext) (Result, error) {
 	fail := func(err error) (Result, error) {
 		return Result{}, fmt.Errorf("sweep: %s: %w", job.Name(), err)
 	}
@@ -602,7 +602,6 @@ func runJob(job Job, reg *telemetry.Registry, pool *machinePool, tc telemetry.Tr
 	poolKey := strings.ToLower(job.Arch)
 	m := pool.get(poolKey, chip, prec)
 	defer pool.put(poolKey, m)
-	m.SetTileWorkers(tileWorkers)
 	if reg != nil {
 		m.SetMetrics(reg)
 	}

@@ -25,7 +25,11 @@ import (
 
 // storeSchema is bumped on any semantic change to the blob contents or the
 // meaning of existing fields.
-const storeSchema = 2 // v2: stall-attribution columns joined the measurements
+//
+// v2: stall-attribution columns joined the measurements.
+// v3: the always-zero within-chip row-memo gauge left the metrics
+// snapshot, and non-finite checksums encode as strings (checksumJSON).
+const storeSchema = 3
 
 // runnerSig names the constants runJob bakes into every simulation: the
 // input/golden PRNG seed, the learning rate and the bias policy. Changing
@@ -35,20 +39,20 @@ const runnerSig = "runJob/v1 seed=7 lr=0.0625 nobias"
 // measureBlob is the measurement half of a persisted cell result — Result
 // minus the Job identity, which replicas overwrite anyway.
 type measureBlob struct {
-	Cycles       int64   `json:"cycles"`
-	Instructions int64   `json:"instructions"`
-	FLOPs        int64   `json:"flops"`
-	PEUtil       float64 `json:"pe_util"`
-	CompMemBytes int64   `json:"comp_mem_bytes"`
-	MemMemBytes  int64   `json:"mem_mem_bytes"`
-	ExtMemBytes  int64   `json:"ext_mem_bytes"`
-	NACKs        int64   `json:"nacks"`
-	Checksum     float32 `json:"checksum"`
-	AttrCompute  int64   `json:"attr_compute"`
-	AttrDMAWait  int64   `json:"attr_dma_wait"`
-	AttrTracker  int64   `json:"attr_tracker"`
-	AttrLink     int64   `json:"attr_link"`
-	AttrOther    int64   `json:"attr_other"`
+	Cycles       int64        `json:"cycles"`
+	Instructions int64        `json:"instructions"`
+	FLOPs        int64        `json:"flops"`
+	PEUtil       float64      `json:"pe_util"`
+	CompMemBytes int64        `json:"comp_mem_bytes"`
+	MemMemBytes  int64        `json:"mem_mem_bytes"`
+	ExtMemBytes  int64        `json:"ext_mem_bytes"`
+	NACKs        int64        `json:"nacks"`
+	Checksum     checksumJSON `json:"checksum"`
+	AttrCompute  int64        `json:"attr_compute"`
+	AttrDMAWait  int64        `json:"attr_dma_wait"`
+	AttrTracker  int64        `json:"attr_tracker"`
+	AttrLink     int64        `json:"attr_link"`
+	AttrOther    int64        `json:"attr_other"`
 }
 
 // resultBlob is the persisted form of one simulated grid cell: the
@@ -121,7 +125,7 @@ func encodeBlob(job Job, r Result, snap telemetry.Snapshot) ([]byte, error) {
 			Cycles: r.Cycles, Instructions: r.Instructions, FLOPs: r.FLOPs,
 			PEUtil: r.PEUtil, CompMemBytes: r.CompMemBytes,
 			MemMemBytes: r.MemMemBytes, ExtMemBytes: r.ExtMemBytes,
-			NACKs: r.NACKs, Checksum: r.Checksum,
+			NACKs: r.NACKs, Checksum: checksumJSON(r.Checksum),
 			AttrCompute: r.AttrCompute, AttrDMAWait: r.AttrDMAWait,
 			AttrTracker: r.AttrTracker, AttrLink: r.AttrLink,
 			AttrOther: r.AttrOther,
@@ -157,7 +161,7 @@ func decodeBlob(job Job, payload []byte) (Result, *telemetry.Registry, error) {
 		MemMemBytes:  m.MemMemBytes,
 		ExtMemBytes:  m.ExtMemBytes,
 		NACKs:        m.NACKs,
-		Checksum:     m.Checksum,
+		Checksum:     float32(m.Checksum),
 		AttrCompute:  m.AttrCompute,
 		AttrDMAWait:  m.AttrDMAWait,
 		AttrTracker:  m.AttrTracker,
@@ -182,9 +186,9 @@ func auditHit(key string) bool {
 // extension of the §5d -verify-memo discipline. Any difference means the
 // key admitted a computation that is not actually equivalent (or the blob
 // was silently altered without breaking its CRC), and fails the sweep.
-func verifyStoredHit(job Job, key string, payload []byte, pool *machinePool, tileWorkers int) error {
+func verifyStoredHit(job Job, key string, payload []byte, pool *machinePool) error {
 	reg := telemetry.NewRegistry()
-	r, err := runJob(job, reg, pool, telemetry.TraceContext{}, tileWorkers)
+	r, err := runJob(job, reg, pool, telemetry.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("sweep: store verify of %s: %w", job.Name(), err)
 	}

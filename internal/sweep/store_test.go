@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -311,5 +312,85 @@ func TestNoMemoBypassesStore(t *testing.T) {
 	}
 	if st := s.Stats(); st != (store.Stats{}) {
 		t.Fatalf("stats %+v: NoMemo touched the store", st)
+	}
+}
+
+// TestStoreNaNChecksumRoundTrip pins the store and JSON paths for a run whose
+// output diverged: fp16 training of simnet at minibatch 5 overflows to a NaN
+// checksum. The cell must persist cold, replay warm from disk, and render
+// byte-identical CSV and JSON tables both ways.
+func TestStoreNaNChecksumRoundTrip(t *testing.T) {
+	g := Grid{
+		Workloads:   []string{"simnet"},
+		Archs:       []string{"half"},
+		Minibatches: []int{5},
+		Modes:       []string{"train"},
+		Iterations:  6,
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	run := func(phase string) []byte {
+		s := openStore(t, dir)
+		defer s.Close()
+		results, err := RunGrid(ctx, g, Options{Workers: 1, Store: s})
+		if err != nil {
+			t.Fatalf("%s run: %v", phase, err)
+		}
+		if c := results[0].Checksum; !math.IsNaN(float64(c)) {
+			t.Fatalf("%s run: checksum %v, want NaN", phase, c)
+		}
+		if phase == "warm" {
+			if st := s.Stats(); st.DiskHits != 1 || st.Puts != 0 {
+				t.Fatalf("warm stats %+v: want one disk hit", st)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, results); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSON(&buf, results); err != nil {
+			t.Fatalf("%s run: %v", phase, err)
+		}
+		return buf.Bytes()
+	}
+	cold := run("cold")
+	if warm := run("warm"); !bytes.Equal(cold, warm) {
+		t.Fatalf("cold and warm renders differ:\ncold: %s\nwarm: %s", cold, warm)
+	}
+}
+
+// TestChecksumJSON: finite checksums encode exactly as a float32 field
+// would; non-finite ones encode as strings and decode back.
+func TestChecksumJSON(t *testing.T) {
+	for _, f := range []float32{0, float32(math.Copysign(0, -1)), 1.5, -3.25e-7, 1e21, 123456.79, math.MaxFloat32} {
+		want, _ := json.Marshal(f)
+		got, err := json.Marshal(checksumJSON(f))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%v encodes as %s (%v), want %s", f, got, err, want)
+		}
+		var back checksumJSON
+		if err := json.Unmarshal(got, &back); err != nil || math.Float32bits(float32(back)) != math.Float32bits(f) {
+			t.Errorf("%s decodes to %v (%v), want %v", got, back, err, f)
+		}
+	}
+	for _, tc := range []struct {
+		f    float64
+		want string
+	}{{math.NaN(), `"NaN"`}, {math.Inf(1), `"+Inf"`}, {math.Inf(-1), `"-Inf"`}} {
+		got, err := json.Marshal(checksumJSON(tc.f))
+		if err != nil || string(got) != tc.want {
+			t.Errorf("%v encodes as %s (%v), want %s", tc.f, got, err, tc.want)
+		}
+		var back checksumJSON
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatalf("%s: %v", got, err)
+		}
+		if b := float64(back); math.IsNaN(tc.f) != math.IsNaN(b) || (!math.IsNaN(b) && b != tc.f) {
+			t.Errorf("%s decodes to %v, want %v", got, b, tc.f)
+		}
+	}
+	var bad checksumJSON
+	if err := json.Unmarshal([]byte(`"1.5"`), &bad); err == nil {
+		t.Error(`"1.5" decoded without error`)
 	}
 }

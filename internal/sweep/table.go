@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -68,26 +69,57 @@ func WriteCSV(w io.Writer, results []Result) error {
 
 // resultJSON is the JSON row shape (stable field order via struct tags).
 type resultJSON struct {
-	Workload     string  `json:"workload"`
-	Arch         string  `json:"arch"`
-	Minibatch    int     `json:"minibatch"`
-	Mode         string  `json:"mode"`
-	Iters        int     `json:"iters"`
-	Cycles       int64   `json:"cycles"`
-	Instructions int64   `json:"instructions"`
-	FLOPs        int64   `json:"flops"`
-	PEUtil       float64 `json:"pe_util"`
-	CompMemBytes int64   `json:"comp_mem_bytes"`
-	MemMemBytes  int64   `json:"mem_mem_bytes"`
-	ExtMemBytes  int64   `json:"ext_mem_bytes"`
-	NACKs        int64   `json:"nacks"`
-	Checksum     float32 `json:"checksum"`
-	AttrCompute  int64   `json:"attr_compute"`
-	AttrDMAWait  int64   `json:"attr_dma_wait"`
-	AttrTracker  int64   `json:"attr_tracker"`
-	AttrLink     int64   `json:"attr_link"`
-	AttrOther    int64   `json:"attr_other"`
-	Source       string  `json:"source"`
+	Workload     string       `json:"workload"`
+	Arch         string       `json:"arch"`
+	Minibatch    int          `json:"minibatch"`
+	Mode         string       `json:"mode"`
+	Iters        int          `json:"iters"`
+	Cycles       int64        `json:"cycles"`
+	Instructions int64        `json:"instructions"`
+	FLOPs        int64        `json:"flops"`
+	PEUtil       float64      `json:"pe_util"`
+	CompMemBytes int64        `json:"comp_mem_bytes"`
+	MemMemBytes  int64        `json:"mem_mem_bytes"`
+	ExtMemBytes  int64        `json:"ext_mem_bytes"`
+	NACKs        int64        `json:"nacks"`
+	Checksum     checksumJSON `json:"checksum"`
+	AttrCompute  int64        `json:"attr_compute"`
+	AttrDMAWait  int64        `json:"attr_dma_wait"`
+	AttrTracker  int64        `json:"attr_tracker"`
+	AttrLink     int64        `json:"attr_link"`
+	AttrOther    int64        `json:"attr_other"`
+	Source       string       `json:"source"`
+}
+
+// checksumJSON is a checksum as JSON: finite values encode exactly as a
+// float32 field would, and the non-finite values a diverged run produces
+// (plain JSON numbers cannot carry them) encode as the strings "NaN",
+// "+Inf" and "-Inf" — the spellings the CSV table already uses.
+type checksumJSON float32
+
+func (c checksumJSON) MarshalJSON() ([]byte, error) {
+	f := float64(c)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 32)), nil
+	}
+	return json.Marshal(float32(c))
+}
+
+func (c *checksumJSON) UnmarshalJSON(data []byte) error {
+	if len(data) == 0 || data[0] != '"' {
+		return json.Unmarshal(data, (*float32)(c))
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	switch s {
+	case "NaN", "+Inf", "-Inf":
+		f, _ := strconv.ParseFloat(s, 32)
+		*c = checksumJSON(f)
+		return nil
+	}
+	return fmt.Errorf("sweep: checksum %q is not a number", s)
 }
 
 // WriteJSON renders the results as an indented JSON array.
@@ -100,7 +132,7 @@ func WriteJSON(w io.Writer, results []Result) error {
 			Cycles: r.Cycles, Instructions: r.Instructions, FLOPs: r.FLOPs,
 			PEUtil: r.PEUtil, CompMemBytes: r.CompMemBytes,
 			MemMemBytes: r.MemMemBytes, ExtMemBytes: r.ExtMemBytes,
-			NACKs: r.NACKs, Checksum: r.Checksum,
+			NACKs: r.NACKs, Checksum: checksumJSON(r.Checksum),
 			AttrCompute: r.AttrCompute, AttrDMAWait: r.AttrDMAWait,
 			AttrTracker: r.AttrTracker, AttrLink: r.AttrLink,
 			AttrOther: r.AttrOther, Source: r.Source,
